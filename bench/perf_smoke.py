@@ -7,6 +7,11 @@ than table dispatch, warm pool slower than a cold pool) fails it.
 Bit-identity is asserted inside each scenario — a warm-pool or fused
 run that diverges from serial raises before the floors are checked.
 
+It also caps the largest encoded compile-cache entry: artifacts store
+data segments, not a linear-memory image, so an entry that grows past
+the ceiling means a memory-sized field crept back into ``X86Program``.
+That gate is a byte count, not a timing, so it cannot flake.
+
 Usage::
 
     PYTHONPATH=src python bench/perf_smoke.py
@@ -20,8 +25,8 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from run_bench import (                                   # noqa: E402
-    bench_parallel_warm, bench_sharded_sweep, bench_wasm_fused,
-    bench_x86_fused,
+    bench_compile_cache, bench_parallel_warm, bench_sharded_sweep,
+    bench_wasm_fused, bench_x86_fused,
 )
 
 #: (scenario, floor): measured speedups are ~1.5x / ~1.5x / ~1.7x, so a
@@ -39,6 +44,10 @@ GATES = (
     ("sharded_sweep", lambda: bench_sharded_sweep(force=True), 0.75),
 )
 
+#: Largest encoded cache entry allowed (measured ~0.14 MB for the
+#: biggest trisolv/bicg program; a 16 MiB memory image would be ~17 MB).
+ARTIFACT_BYTES_MAX = 1 << 20
+
 
 def main() -> int:
     failed = []
@@ -50,11 +59,19 @@ def main() -> int:
         print(f"[perf-smoke]   {speedup:.2f}x (floor {floor:.2f}x) "
               f"{verdict}")
         if speedup < floor:
-            failed.append((name, speedup, floor))
+            failed.append(f"{name}: {speedup:.2f}x is below the "
+                          f"{floor:.2f}x floor")
+    print("[perf-smoke] compile_cache artifact size ...", flush=True)
+    largest = bench_compile_cache()["artifact_bytes_max"]
+    verdict = "ok" if largest <= ARTIFACT_BYTES_MAX else "FAIL"
+    print(f"[perf-smoke]   {largest} bytes (ceiling {ARTIFACT_BYTES_MAX}) "
+          f"{verdict}")
+    if largest > ARTIFACT_BYTES_MAX:
+        failed.append(f"compile_cache: largest entry {largest} bytes "
+                      f"exceeds the {ARTIFACT_BYTES_MAX}-byte ceiling")
     if failed:
-        for name, speedup, floor in failed:
-            print(f"[perf-smoke] {name}: {speedup:.2f}x is below the "
-                  f"{floor:.2f}x floor", file=sys.stderr)
+        for message in failed:
+            print(f"[perf-smoke] {message}", file=sys.stderr)
         return 1
     print("[perf-smoke] all gates passed")
     return 0

@@ -4,7 +4,9 @@ Times each optimized subsystem against its in-tree pre-optimization
 baseline and writes ``BENCH_repro.json`` at the repo root:
 
 * ``compile_cache``   — a repeated 2-experiment suite run, cold
-  (``--no-cache`` semantics) vs. warm (content-addressed cache);
+  (``--no-cache`` semantics) vs. warm (content-addressed cache), plus
+  the largest encoded entry (``artifact_bytes_max``) and the median
+  disk-hit latency (``disk_hit_ms_p50``);
 * ``wasm_interp``     — a single-pass PolyBench run on the table-dispatch
   interpreter vs. the original chain-dispatch one;
 * ``x86_machine``     — the decoded x86 executor vs. the original
@@ -35,6 +37,7 @@ import argparse
 import json
 import os
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -100,6 +103,19 @@ def bench_compile_cache():
         experiment(cache)  # populate
         warm_seconds, _ = _best_of(lambda: experiment(cache), repeats=2)
         stats = cache.stats.as_dict()
+        entries = [os.path.join(dirpath, name)
+                   for dirpath, _dirs, names in os.walk(tmp)
+                   for name in names if name.endswith(".pkl")]
+        # Disk hits: a fresh instance has an empty memory tier, so every
+        # get reads, verifies and unpickles one encoded entry.
+        disk = CompileCache(directory=tmp)
+        hit_ms = []
+        for path in entries:
+            start = time.perf_counter()
+            value = disk.get(os.path.basename(path)[:-len(".pkl")])
+            hit_ms.append((time.perf_counter() - start) * 1e3)
+            assert value is not None, f"disk miss on {path}"
+        artifact_bytes_max = max(os.path.getsize(p) for p in entries)
 
     return {
         "description": "repeated 2-experiment compile sweep, "
@@ -108,6 +124,8 @@ def bench_compile_cache():
         "optimized_seconds": warm_seconds,
         "speedup": cold_seconds / warm_seconds,
         "cache_stats": stats,
+        "artifact_bytes_max": artifact_bytes_max,
+        "disk_hit_ms_p50": statistics.median(hit_ms),
     }
 
 

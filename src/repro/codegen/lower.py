@@ -108,7 +108,8 @@ class ModuleLowering:
                 if value:
                     registry.counter(f"codegen.checks.{key}").inc(value)
         program.layout()
-        program.initial_image = bytes(self.module.initial_memory())
+        program.data_segments = tuple((seg.addr, bytes(seg.data))
+                                      for seg in self.module.data)
         program.heap_base = self.module.heap_base
         return program
 

@@ -10,7 +10,7 @@ sees well-typed code.
 from __future__ import annotations
 
 from ..errors import ValidationError
-from .module import WasmModule
+from .module import PAGE_SIZE, WasmModule
 from .opcodes import WasmInstr
 
 _BIN_NUM = {"add", "sub", "mul", "div_s", "div_u", "rem_s", "rem_u",
@@ -332,3 +332,11 @@ def _validate_module(module: WasmModule) -> None:
     for exp in module.exports:
         if exp.kind == "func" and exp.index >= module.function_count():
             raise ValidationError(f"export {exp.name}: bad function index")
+    # Instantiation copies each data segment into the initial memory; a
+    # segment that does not fit must fail rather than grow the memory.
+    memory_bytes = module.memory_pages[0] * PAGE_SIZE
+    for seg in module.data:
+        if seg.offset < 0 or seg.offset + len(seg.data) > memory_bytes:
+            raise ValidationError(
+                f"data segment at {seg.offset} (+{len(seg.data)} bytes) "
+                f"out of bounds of {memory_bytes}-byte memory")

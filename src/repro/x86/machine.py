@@ -127,16 +127,13 @@ class X86Machine:
     #: polled; a power of two so the checkpoint arithmetic stays cheap.
     DEADLINE_STRIDE = 1 << 20
 
-    def __init__(self, program: X86Program, initial_memory: bytes = None,
-                 host=None, icache: ICache = None,
+    def __init__(self, program: X86Program, host=None, icache: ICache = None,
                  max_instructions: int = 2_000_000_000, profile=None,
                  deadline: float = None, tier=None, hwc=None):
         self.program = program
         self.memory = bytearray(program.machine_memory_size)
-        if initial_memory is None:
-            initial_memory = program.initial_image
-        if initial_memory:
-            self.memory[:len(initial_memory)] = initial_memory
+        for addr, blob in program.data_segments:
+            self.memory[addr:addr + len(blob)] = blob
         for addr, blob in program.rodata_image():
             self.memory[addr:addr + len(blob)] = blob
         self.host = host

@@ -94,7 +94,10 @@ class X86Program:
         self.extern_sigs: dict[str, object] = {}  # name -> ir FuncType
         self.abi = None                           # set by the backend
         self.compile_stats: dict[str, float] = {}
-        self.initial_image: bytes = b""           # guest memory image
+        #: Initialized guest memory as ``(addr, bytes)`` data segments,
+        #: copied into zeroed memory when a machine is built (wasm's
+        #: instantiation model; the rest of linear memory is zero).
+        self.data_segments: tuple[tuple[int, bytes], ...] = ()
         self.heap_base: int = 0                   # for sys_heap_base
         #: Branch-target alignment (JIT engines pad targets with nops).
         self.code_alignment: int = 1

@@ -1,6 +1,7 @@
 """The content-addressed compile cache: hits, misses, invalidation."""
 
 import hashlib
+import pickle
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.benchsuite import polybench_benchmark
 from repro.harness import compilecache
 from repro.harness.compilecache import CompileCache
 from repro.harness.runner import compile_benchmark
+from repro.x86.machine import X86Machine
 
 TARGETS = ("native", "chrome")
 
@@ -48,15 +50,28 @@ def test_cached_artifacts_equal_fresh(cache):
     compile_benchmark(spec, TARGETS, cache=cache)     # populate
     cached = compile_benchmark(spec, TARGETS, cache=cache)
     assert cache.stats.hits > 0
+    # A second instance has an empty memory tier: its programs went
+    # through pickle and the on-disk checksum.
+    disk = CompileCache(directory=cache.directory)
+    unpickled = compile_benchmark(spec, TARGETS, cache=disk)
+    assert disk.stats.disk_hits > 0
 
     # The wasm module must be byte-identical, not just equivalent.
     assert hashlib.sha256(cached.wasm_bytes).hexdigest() == \
         hashlib.sha256(fresh.wasm_bytes).hexdigest()
     for target in TARGETS:
         a = fresh.programs[target]
-        b = cached.programs[target]
-        assert [f.listing() for f in a.functions.values()] == \
-            [f.listing() for f in b.functions.values()]
+        assert a.data_segments
+        fresh_memory = X86Machine(a).memory
+        for other in (cached, unpickled):
+            b = other.programs[target]
+            assert [f.listing() for f in a.functions.values()] == \
+                [f.listing() for f in b.functions.values()]
+            assert b.data_segments == a.data_segments
+            assert X86Machine(b).memory == fresh_memory
+        # Artifacts hold data segments, not a linear-memory image.
+        assert len(pickle.dumps(a, protocol=pickle.HIGHEST_PROTOCOL)) \
+            < 1 << 20
 
 
 def test_key_invalidates_on_flags(cache):

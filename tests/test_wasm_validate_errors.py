@@ -4,8 +4,12 @@ diagnostic, on hand-built modules."""
 import pytest
 
 from repro.errors import ValidationError
+from repro.jit import CHROME_ENGINE
+from repro.wasm.binary import encode_module
+from repro.wasm.interp import WasmInstance
 from repro.wasm.module import (WasmFuncType, WasmFunction, WasmModule)
 from repro.wasm.opcodes import WasmInstr
+from repro.wasm.text import parse_wat
 from repro.wasm.validate import validate_module
 
 
@@ -122,3 +126,25 @@ def test_valid_module_accepted():
         WasmInstr("i32.add"),
     ])
     validate_module(module)  # must not raise
+
+
+def test_out_of_bounds_data_segment_rejected():
+    # 65530 + 16 bytes overruns the single 64 KiB page; instantiation
+    # must fail instead of growing memory (or, in the JIT, writing past
+    # linear memory into the machine stack).
+    module = parse_wat(
+        '(module (memory 1) (data (i32.const 65530) "ABCDEFGHIJKLMNOP"))')
+    expected = ("data segment at 65530 (+16 bytes) out of bounds of "
+                "65536-byte memory")
+    assert _err(module) == expected
+    with pytest.raises(ValidationError, match="out of bounds"):
+        WasmInstance(module)
+    with pytest.raises(ValidationError, match="out of bounds"):
+        CHROME_ENGINE.compile_bytes(encode_module(module))
+
+
+def test_data_segment_ending_at_memory_end_accepted():
+    module = parse_wat(
+        '(module (memory 1) (data (i32.const 65520) "ABCDEFGHIJKLMNOP"))')
+    validate_module(module)  # must not raise
+    assert WasmInstance(module).memory[-16:] == b"ABCDEFGHIJKLMNOP"
