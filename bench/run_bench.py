@@ -14,8 +14,11 @@ baseline and writes ``BENCH_repro.json`` at the repo root:
 * ``wasm_fused``      — the wasm interpreter at ``--tier fuse``
   (superinstructions + quickened dispatch) vs. ``--tier off`` (plain
   table dispatch), outputs asserted identical;
-* ``x86_fused``       — the x86 executor at ``--tier fuse`` vs.
-  ``--tier off`` on a ref-size workload, counters asserted identical;
+* ``x86_fused``       — the x86 executor at ``--tier fuse`` (hot-block
+  compilation) vs. ``--tier off`` on ref-size gemm, counters asserted
+  identical;
+* ``x86_fused_spec``  — the same comparison on a native ref-size
+  401.bzip2 cell: branchy integer code the fast path was not tuned on;
 * ``parallel_suite``  — a 4-benchmark suite sweep, ``--jobs 4`` vs.
   serial, results asserted bit-identical (degrades honestly to serial
   on a single-CPU box);
@@ -45,14 +48,18 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.benchsuite import polybench_benchmark          # noqa: E402
+from repro.benchsuite.registry import spec_benchmark      # noqa: E402
 from repro.codegen import compile_native                  # noqa: E402
 from repro.codegen.emscripten import compile_emscripten   # noqa: E402
 from repro.harness.compilecache import CompileCache       # noqa: E402
 from repro.harness.parallel import (                      # noqa: E402
     run_suite, shutdown_warm_pool,
 )
-from repro.harness.runner import compile_benchmark        # noqa: E402
+from repro.harness.runner import (                        # noqa: E402
+    compile_benchmark, run_compiled,
+)
 from repro.ir import CollectingHost                       # noqa: E402
+from repro.tier import set_tier                           # noqa: E402
 from repro.wasm.interp import WasmInstance                # noqa: E402
 from repro.wasm.interp_baseline import BaselineWasmInstance  # noqa: E402
 from repro.x86.machine import X86Machine                  # noqa: E402
@@ -212,31 +219,68 @@ def bench_x86_machine():
     }
 
 
+def _tier_pair(run, description):
+    """Best of 5 ``run(tier)`` at --tier off vs --tier fuse; ``run``
+    returns (seconds, counters) and the counters must match.  Every run
+    builds a new machine, so the fuse time includes block compiles."""
+    def best(tier):
+        runs = [run(tier) for _ in range(5)]
+        return min(r[0] for r in runs), runs[-1][1]
+
+    table_seconds, table_counters = best("off")
+    fused_seconds, fused_counters = best("fuse")
+    assert table_counters == fused_counters, "fused executor diverged"
+    return {
+        "description": description,
+        "baseline_seconds": table_seconds,
+        "optimized_seconds": fused_seconds,
+        "speedup": table_seconds / fused_seconds,
+        "instructions": fused_counters[0]["instructions"],
+    }
+
+
 def bench_x86_fused():
     # Ref-size gemm: ~10x the instructions of the "test" size, enough
-    # for promotion cost to amortize and wall-clock noise to shrink.
+    # for compile cost to amortize and wall-clock noise to shrink.
     spec = polybench_benchmark("gemm", "ref")
     program, module = compile_native(spec.source, spec.name)
 
     def run(tier):
         machine = X86Machine(program, host=_Host(module.heap_base),
                              tier=tier)
+        start = time.perf_counter()
         machine.call("main")
-        return machine.perf.as_dict()
+        elapsed = time.perf_counter() - start
+        return elapsed, (machine.perf.as_dict(), machine.icache.misses)
 
-    table_seconds, table_perf = _best_of(lambda: run("off"), repeats=5)
-    fused_seconds, fused_perf = _best_of(lambda: run("fuse"), repeats=5)
-    assert table_perf == fused_perf, "fused executor diverged"
-    return {
-        "description": "native ref-size gemm on the x86 executor, "
-                       "table dispatch (--tier off) vs superinstruction "
-                       "fusion + quickening (--tier fuse); perf counters "
-                       "asserted identical",
-        "baseline_seconds": table_seconds,
-        "optimized_seconds": fused_seconds,
-        "speedup": table_seconds / fused_seconds,
-        "instructions": fused_perf["instructions"],
-    }
+    return _tier_pair(
+        run, "native ref-size gemm on the x86 executor, table dispatch "
+        "(--tier off) vs hot-block compilation (--tier fuse), blocks "
+        "compiled in every run; perf counters and i-cache misses "
+        "asserted identical")
+
+
+def bench_x86_fused_spec():
+    # The honest counterpart of x86_fused: branchy integer code, where
+    # pair superinstructions were a wash (~1.03x).
+    compiled = compile_benchmark(spec_benchmark("401.bzip2", "ref"),
+                                 ["native"], cache=False)
+
+    def run(tier):
+        set_tier(tier)
+        try:
+            start = time.perf_counter()
+            cell = run_compiled(compiled, "native", runs=1)
+            elapsed = time.perf_counter() - start
+        finally:
+            set_tier(None)
+        return elapsed, (cell.perf.as_dict(), cell.times, cell.run.stdout)
+
+    return _tier_pair(
+        run, "native ref-size 401.bzip2 cell (kernel boot included), "
+        "table dispatch (--tier off) vs hot-block compilation (--tier "
+        "fuse), blocks compiled in every run; perf counters, "
+        "simulated times and stdout asserted identical")
 
 
 def bench_parallel_suite():
@@ -422,6 +466,7 @@ SCENARIOS = {
     "x86_machine": bench_x86_machine,
     "wasm_fused": bench_wasm_fused,
     "x86_fused": bench_x86_fused,
+    "x86_fused_spec": bench_x86_fused_spec,
     "parallel_suite": bench_parallel_suite,
     "parallel_warm": bench_parallel_warm,
     "sharded_sweep": bench_sharded_sweep,

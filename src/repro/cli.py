@@ -790,10 +790,10 @@ def _add_verify_arg(p) -> None:
 def _add_tier_arg(p) -> None:
     p.add_argument("--tier", choices=("off", "quicken", "fuse"),
                    default=None,
-                   help="interpreter execution tier: plain table "
-                        "dispatch (off), per-op specialization "
-                        "(quicken), or quickening plus "
-                        "superinstruction fusion (fuse, the default); "
+                   help="execution tier: plain table dispatch (off), "
+                        "per-op specialization (quicken), or hot x86 "
+                        "blocks compiled to Python and fused wasm "
+                        "superinstructions (fuse, the default); "
                         "results are bit-identical at every tier")
 
 

@@ -1,19 +1,25 @@
 """Execution-tier selection for the simulated execution stack.
 
-The interpreters have three tiers, mirroring the quickening/superinstruction
+The executors have three tiers, mirroring the quickening/superinstruction
 design Titzer describes for baseline wasm compilers:
 
 - ``off``     — plain pre-decoded table dispatch; no re-decoding ever happens.
 - ``quicken`` — hot functions are re-decoded with per-opcode specializations
   (e.g. trap-free numeric ops skip the guest-trap guard).
-- ``fuse``    — quickening plus superinstruction fusion: hot adjacent
-  pairs/triples are collapsed into single handlers with pre-bound operands.
+- ``fuse``    — on the simulated x86 machine, hot basic blocks are compiled
+  into straight-line Python functions (:mod:`repro.x86.blocks`); in the wasm
+  interpreter, quickening plus superinstruction fusion: hot adjacent pairs
+  are collapsed into single handlers with pre-bound operands.
 
-All tiers produce bit-identical results (times, perf counters, profiles,
-stdout); the tier only changes how fast the simulator itself runs.  Hotness
-is per function: a function is promoted after ``HOT_CALLS`` entries, or
-immediately if it contains a loop, so cold startup code keeps the cheap
-plain-dispatch decode.
+All tiers produce bit-identical results (times, perf counters, i-cache
+misses, traps, profiles, stdout); the tier only changes how fast the
+simulator itself runs.  In the interpreters hotness is per function: a
+function is promoted after ``HOT_CALLS`` entries, or immediately if it
+contains a loop.  On x86 it is per basic block: a block is compiled after
+``HOT_BLOCK`` entries.  Either way cold startup code keeps the cheap
+plain-dispatch decode.  Per-instruction hooks (the hwc model, opcode/block
+profiles, ``--check-ranges``) make the x86 machine use plain dispatch at
+every tier.
 
 The active tier comes from, in priority order: an explicit per-instance
 argument, ``set_tier()`` (the ``--tier`` CLI knob), the ``REPRO_TIER``
@@ -30,6 +36,9 @@ DEFAULT_TIER = "fuse"
 
 # Entries before a loop-free function is promoted off plain dispatch.
 HOT_CALLS = 4
+
+# Entries before an x86 basic block is compiled (repro.x86.blocks).
+HOT_BLOCK = 64
 
 _tier: str | None = None
 
@@ -62,10 +71,13 @@ def tier_level(name: str | None = None) -> int:
 
 
 def note_promotion(fused_sites: int) -> None:
-    """Record a function promotion in the metrics registry.
+    """Record a promotion in the metrics registry.
 
-    Called once per promoted function (rare), so the registry lookup cost
-    never touches the dispatch hot path.
+    ``tier.promotions`` counts promoted interpreter functions and compiled
+    x86 blocks; ``tier.fused_ops`` adds ``fused_sites``: the fused pairs of
+    a promoted function, or the instructions a compiled block covers.
+    Called once per promotion (rare), so the registry lookup cost never
+    touches the dispatch hot path.
     """
     from .obs.metrics import get_registry
 

@@ -64,6 +64,24 @@ class SetAssocCache:
             ways.insert(0, line)
         return 0
 
+    def access_lines(self, lines) -> None:
+        """Touch each line of ``lines`` in order; the same accesses,
+        misses and LRU state as one ``_access_line`` call per line."""
+        sets = self.sets
+        set_mask = self._set_mask
+        self.accesses += len(lines)
+        for line in lines:
+            ways = sets[line & set_mask]
+            if ways and ways[0] == line:
+                continue
+            if line in ways:
+                ways.remove(line)
+            else:
+                self.misses += 1
+                if len(ways) == self.ways:
+                    ways.pop()
+            ways.insert(0, line)
+
     def access(self, addr: int, size: int = 8) -> int:
         """Data-side access: touch every line the access covers.
 

@@ -15,10 +15,10 @@ import struct
 from time import monotonic as _monotonic
 
 from ..errors import CellTimeout, FuelExhausted, TrapError
-from ..tier import HOT_CALLS, note_promotion, tier_level
+from ..tier import HOT_BLOCK, note_promotion, tier_level
 from .icache import ICache
 from .isa import Imm, Mem, Reg
-from .perf import PerfCounters
+from .perf import PerfCounters, add_counts
 from .program import X86Program
 from .registers import RAX, RCX, RDX, RSP, XMM0
 
@@ -32,7 +32,7 @@ def _signed(value: int, bits: int) -> int:
 
 # Decoded-instruction kinds.  Each assembled instruction is decoded once
 # per machine into ``(kind, payload, icache-first, icache-last,
-# single-line, instr)`` so the hot loop dispatches on a small int and
+# single-line, instr, block)`` so the hot loop dispatches on a small int and
 # touches pre-extracted operands instead of re-testing opcode strings
 # and operand classes on every retired instruction.  Numbering roughly
 # follows dynamic frequency in the generated code.
@@ -73,35 +73,6 @@ K_NEG = 33
 K_TRAP = 34
 K_NOP = 35
 K_UNKNOWN = 36
-
-# Superinstruction kind (fuse tier): negative so the hot loop filters it
-# with one ``kind < 0`` compare.  A fused entry replaces only the FIRST
-# slot of its pair; the second slot keeps its original entry, so a
-# branch targeting it executes the original instruction and no target
-# remapping is needed (pairs whose second slot is a basic-block leader
-# are simply not fused).  The fused handler executes constituent 1,
-# replicates the loop header's bookkeeping (retired count, fuel
-# checkpoint, i-cache fetch, profile charge) for the consumed slot, then
-# executes constituent 2 — so counters, profiles, and trap/fuel points
-# are bit-identical to unfused dispatch.
-#
-# payload: (c1, pay1, c2, pay2, book2) where c1/c2 select a micro-op
-# from the fusable set below (pay1/pay2 are the original decode
-# payloads) and book2 = (first, last, single, instr) of the consumed
-# second slot.  Any fusable micro-op combines with any other; jcc is
-# second-position only (a taken branch must end the pair).
-K_F_PAIR = -1
-# Micro-op codes, ordered roughly by dynamic frequency in the
-# PolyBench kernels:
-#   0 sse (reg operand)   1 movsd load    2 alu (reg/imm operands)
-#   3 cmp                 4 movsd store   5 jcc
-#   6 mov r32,r32         7 mov r64,r64   8 mov r,imm
-#   9 test               10 mov load     11 mov store (reg)
-#  12 mov store (imm)
-# The movsd payloads are additionally quickened: the effective-address
-# fields are pre-extracted so the fused body skips the _ea/read_mem
-# call overhead (bounds checks and trap messages are replicated
-# verbatim).
 
 _ALU_IDX = {"add": 0, "sub": 1, "and": 2, "or": 3, "xor": 4, "imul": 5}
 _SHIFT_IDX = {"shl": 0, "shr": 1, "sar": 2}
@@ -156,12 +127,6 @@ class X86Machine:
         #: per mnemonic) with totals that match ``perf`` exactly.
         self.profile = profile
         self._leaders_cache = {}
-        #: Execution tier (0=off, 1=quicken, 2=fuse); ``None`` follows
-        #: the process-wide setting from :mod:`repro.tier`.  The decode
-        #: pass already quickens (pre-extracted operands), so tiers 0
-        #: and 1 are identical here; tier 2 adds superinstructions.
-        self._tier = tier_level(tier)
-        self._backjump_cache = {}
         #: Optional :class:`repro.obs.hwc.HwcModel`.  It observes each
         #: retired instruction pre-dispatch (one hook call) and never
         #: mutates machine or counter state, so execution results and
@@ -172,11 +137,18 @@ class X86Machine:
         #: The ``--check-ranges`` soundness oracle: when on, every
         #: instruction carrying an ``assert_range`` fact has the
         #: committed register value validated right after it retires.
-        #: Superinstruction fusion is disabled under the oracle (fused
-        #: pairs skip the loop-top hook; fusion is counter-bit-identical
-        #: anyway, so the oracle still checks the same program).
         from ..ir.verify import check_ranges_enabled
         self._oracle = check_ranges_enabled()
+        #: Execution tier (0=off, 1=quicken, 2=fuse); ``None`` follows
+        #: the process-wide setting from :mod:`repro.tier`.  The decode
+        #: pass already quickens (pre-extracted operands), so tiers 0
+        #: and 1 are identical here; tier 2 compiles hot basic blocks
+        #: (:mod:`repro.x86.blocks`).  Per-instruction hooks (hwc, the
+        #: range oracle, opcode/block profiles) need plain dispatch.
+        self._blocks = (
+            tier_level(tier) >= 2 and hwc is None and not self._oracle
+            and not (profile is not None
+                     and (profile.opcodes or profile.blocks)))
 
     # -- guest memory interface (Host-compatible) --------------------------------
 
@@ -228,13 +200,6 @@ class X86Machine:
         else:
             self.regs[reg] = value & _M64
 
-    def _set_flags_logic(self, result: int, bits: int) -> None:
-        result &= (1 << bits) - 1
-        self.zf = 1 if result == 0 else 0
-        self.sf = (result >> (bits - 1)) & 1
-        self.of = 0
-        self.cf = 0
-
     def _set_flags_sub(self, a: int, b: int, bits: int) -> None:
         mask = (1 << bits) - 1
         a &= mask
@@ -244,16 +209,6 @@ class X86Machine:
         self.sf = (result >> (bits - 1)) & 1
         self.cf = 1 if a < b else 0
         self.of = ((a ^ b) & (a ^ result)) >> (bits - 1) & 1
-
-    def _set_flags_add(self, a: int, b: int, bits: int) -> None:
-        mask = (1 << bits) - 1
-        a &= mask
-        b &= mask
-        result = (a + b) & mask
-        self.zf = 1 if result == 0 else 0
-        self.sf = (result >> (bits - 1)) & 1
-        self.cf = 1 if a + b > mask else 0
-        self.of = (~(a ^ b) & (a ^ result)) >> (bits - 1) & 1
 
     def _cond(self, cond: str) -> bool:
         if cond == "e":
@@ -299,124 +254,22 @@ class X86Machine:
         return self.regs[RAX], self.xmm[0]
 
     def _decode_func(self, func):
-        key = id(func)
-        rec = self._decode_cache.get(key)
-        if rec is None:
-            # [decoded code, promoted tier level, entry count]
-            rec = [self._build_decode(func), 0, 0]
-            self._decode_cache[key] = rec
-        if self._tier >= 2 and rec[1] < 2 and not self._oracle:
-            rec[2] += 1
-            if rec[2] >= HOT_CALLS or self._has_backjump(rec[0]):
-                fused, sites = self._fuse_decode(rec[0])
-                rec[0] = fused
-                rec[1] = 2
-                note_promotion(sites)
-        return rec[0]
-
-    def _has_backjump(self, dcode) -> bool:
-        """True if the decoded function contains a backward jump (a
-        loop): such functions are promoted on first entry instead of
-        waiting out HOT_CALLS."""
-        key = id(dcode)
-        cached = self._backjump_cache.get(key)
-        if cached is None:
-            # The tuple pins dcode so its id stays valid as a key.
-            cached = (dcode, any(
-                (e[0] == K_JMP and e[1] <= idx) or
-                (e[0] == K_JCC and e[1][1] <= idx)
-                for idx, e in enumerate(dcode)))
-            self._backjump_cache[key] = cached
-        return cached[1]
-
-    def _fuse_decode(self, decoded):
-        """Superinstruction pass (fuse tier): collapse hot adjacent
-        pairs into single fused entries.
-
-        Only the FIRST slot of a pair is replaced; the consumed second
-        slot keeps its original entry, so branches into the middle of a
-        pair still execute the original instruction and no target
-        remapping is needed.  Pairs whose second slot is a basic-block
-        leader are left unfused so block-level profile attribution
-        stays exact.  Returns (fused code, number of fused sites)."""
-        n = len(decoded)
-        leaders = set()
-        for idx, entry in enumerate(decoded):
-            kind = entry[0]
-            if kind == K_JCC:
-                leaders.add(entry[1][1])
-                leaders.add(idx + 1)
-            elif kind == K_JMP:
-                leaders.add(entry[1])
-                leaders.add(idx + 1)
-            elif kind in (K_CALL, K_CALLR, K_HOSTCALL):
-                leaders.add(idx + 1)
-        out = list(decoded)
-        sites = 0
-        i = 0
-        while i < n - 1:
-            if (i + 1) in leaders:
-                i += 1
-                continue
-            e1 = decoded[i]
-            m1 = self._fuse_code(e1, first=True)
-            if m1 is None:
-                i += 1
-                continue
-            e2 = decoded[i + 1]
-            m2 = self._fuse_code(e2, first=False)
-            if m2 is None:
-                i += 1
-                continue
-            out[i] = (K_F_PAIR,
-                      (m1[0], m1[1], m2[0], m2[1],
-                       (e2[2], e2[3], e2[4], e2[5])),
-                      e1[2], e1[3], e1[4], e1[5])
-            sites += 1
-            i += 2
-        return out, sites
-
-    @staticmethod
-    def _fuse_code(entry, first):
-        """(micro-op code, payload) of a decoded entry if it is fusable
-        in the given pair position, else None."""
-        kind = entry[0]
-        pay = entry[1]
-        if kind == K_SSE:
-            return None if pay[2] else (0, pay)   # reg operand only
-        if kind == K_MOVSD_LOAD:
-            mem = pay[1]
-            return (1, (pay[0], mem.base, mem.index, mem.scale, mem.disp))
-        if kind == K_ALU:
-            # reg destination, reg/imm source only
-            return None if (pay[3] or pay[4] == 2) else (2, pay)
-        if kind == K_CMP:
-            return (3, pay)
-        if kind == K_MOVSD_STORE:
-            mem = pay[0]
-            return (4, (pay[1], mem.base, mem.index, mem.scale, mem.disp))
-        if kind == K_JCC:
-            return None if first else (5, pay)    # taken ends the pair
-        if kind == K_MOV_RR32:
-            return (6, pay)
-        if kind == K_MOV_RR:
-            return (7, pay)
-        if kind == K_MOV_RI:
-            return (8, pay)
-        if kind == K_TEST:
-            return (9, pay)
-        if kind == K_MOV_LOAD:
-            return (10, pay)
-        if kind == K_MOV_STORE_R:
-            return (11, pay)
-        if kind == K_MOV_STORE_I:
-            return (12, pay)
-        return None
+        dcode = self._decode_cache.get(id(func))
+        if dcode is None:
+            dcode = self._decode_cache[id(func)] = self._build_decode(func)
+            if self._blocks:
+                from .blocks import plan_blocks
+                for blk in plan_blocks(dcode, self._leaders(dcode),
+                                       HOT_BLOCK):
+                    dcode[blk.start] = dcode[blk.start][:6] + (blk,)
+        return dcode
 
     def _build_decode(self, func):
         """Decode one function into (kind, payload, first, last, single,
-        instr) tuples; every operand shape and counter decision that is
-        static per instruction is resolved here, once."""
+        instr, None) tuples; every operand shape and counter decision
+        that is static per instruction is resolved here, once.  The block
+        tier puts a :class:`repro.x86.blocks.Block` in the last field of
+        each block's first instruction."""
         functions = self.program.functions
         decoded = []
         for ins in func.instrs:
@@ -563,13 +416,14 @@ class X86Machine:
             addr = ins.addr
             first = addr >> 6
             last = (addr + ins.enc_size - 1) >> 6
-            decoded.append((kind, pay, first, last, first == last, ins))
+            decoded.append((kind, pay, first, last, first == last, ins,
+                            None))
         return decoded
 
     def _leaders(self, dcode) -> set:
-        """Basic-block leader indices of one decoded function (profiling
-        only): branch targets plus the instruction after every branch or
-        call."""
+        """Basic-block leader indices of one decoded function (block
+        profiles and the block tier): branch targets plus the
+        instruction after every branch or call."""
         key = id(dcode)
         cached = self._leaders_cache.get(key)
         if cached is None:
@@ -584,8 +438,7 @@ class X86Machine:
                     leaders.add(idx + 1)
                 elif kind in (K_CALL, K_CALLR, K_HOSTCALL):
                     leaders.add(idx + 1)
-            # The tuple pins dcode so its id stays valid as a key even
-            # after tier promotion replaces the cached decode list.
+            # The tuple pins dcode so its id stays valid as a key.
             cached = (dcode, leaders)
             self._leaders_cache[key] = cached
         return cached[1]
@@ -596,11 +449,10 @@ class X86Machine:
         memory = self.memory
         memlen = len(memory)
         from_bytes = int.from_bytes
-        unpack_from = struct.unpack_from
-        pack_into = struct.pack_into
         perf = self.perf
         icache = self.icache
         access_line = icache._access_line
+        access_lines = icache.access_lines
         hwc = self.hwc
         hwc_retire = None
         if hwc is not None:
@@ -616,6 +468,11 @@ class X86Machine:
 
         call_stack = []  # (function, decoded code, return index)
         dcode = self._decode_func(func)
+        # Block tier: executed blocks whose counts still need folding
+        # into the counters (see repro.x86.blocks).
+        touched = []
+        if self._blocks:
+            from .blocks import BlockTrap, fold, install, unwind
         n = len(dcode)
         i = 0
         n_instr = 0
@@ -654,28 +511,13 @@ class X86Machine:
                 nonlocal c_calls, c_muls, c_divs, c_fdivs, c_fpu
                 nonlocal prof_miss_base
                 bucket = profile.bucket(fname)
-                bucket.instructions += c_instr
-                bucket.loads += c_loads
-                bucket.stores += c_stores
-                bucket.branches += c_branches
-                bucket.cond_branches += c_cond
-                bucket.calls += c_calls
-                bucket.muls += c_muls
-                bucket.divs += c_divs
-                bucket.fdivs += c_fdivs
-                bucket.fpu_ops += c_fpu
+                if touched:
+                    fold(touched, (bucket, perf))
+                add_counts((bucket, perf),
+                           (c_instr, c_loads, c_stores, c_branches, c_cond,
+                            c_calls, c_muls, c_divs, c_fdivs, c_fpu))
                 bucket.icache_misses += icache.misses - prof_miss_base
                 prof_miss_base = icache.misses
-                perf.instructions += c_instr
-                perf.loads += c_loads
-                perf.stores += c_stores
-                perf.branches += c_branches
-                perf.cond_branches += c_cond
-                perf.calls += c_calls
-                perf.muls += c_muls
-                perf.divs += c_divs
-                perf.fdivs += c_fdivs
-                perf.fpu_ops += c_fpu
                 c_instr = c_loads = c_stores = c_branches = c_cond = 0
                 c_calls = c_muls = c_divs = c_fdivs = c_fpu = 0
 
@@ -691,7 +533,35 @@ class X86Machine:
                 if i >= n:
                     raise TrapError(
                         f"fell off the end of {getattr(func, 'name', '?')}")
-                kind, pay, first, last, single, ins = dcode[i]
+                kind, pay, first, last, single, ins, blk = dcode[i]
+                if blk is not None:
+                    if blk.fn is None:
+                        blk.heat -= 1
+                        if not blk.heat:
+                            install(blk, dcode, memlen)
+                            note_promotion(blk.length)
+                    elif n_instr + blk.length <= checkpoint:
+                        try:
+                            i = blk.fn(regs, xmm, memory, self)
+                        except BlockTrap as trap:
+                            k, exc = unwind(
+                                blk, trap, self, last_line,
+                                (perf,) if profile is None else
+                                (perf, profile.bucket(func.name)))
+                            n_instr += k + 1
+                            i = blk.start + k + 1
+                            ins = dcode[i - 1][5]
+                            raise exc from None
+                        n_instr += blk.length
+                        if not blk.count:
+                            touched.append(blk)
+                        blk.count += 1
+                        if blk.line0 != last_line:
+                            access_lines(blk.lines)
+                        elif blk.rest:
+                            access_lines(blk.rest)
+                        last_line = blk.last if i == blk.fall else -1
+                        continue
                 i += 1
                 n_instr += 1
                 c_instr += 1
@@ -751,442 +621,7 @@ class X86Machine:
                 if hwc_retire is not None:
                     hwc_retire(ins, self)
 
-                if kind < 0:                          # K_F_PAIR
-                    # Fused superinstruction: execute constituent 1,
-                    # replicate the loop header's bookkeeping for the
-                    # consumed second slot, execute constituent 2 —
-                    # counters, fuel, i-cache, and profile charges land
-                    # exactly as under plain dispatch.
-                    c1, q1, c2, q2, book2 = pay
-                    if c1 == 0:                       # sse (reg)
-                        c_fpu += 1
-                        sse = q1[0]
-                        a = q1[1]
-                        y = xmm[q1[3]]
-                        x = xmm[a]
-                        if sse == 0:
-                            xmm[a] = x + y
-                        elif sse == 1:
-                            xmm[a] = x - y
-                        elif sse == 2:
-                            xmm[a] = x * y
-                        elif sse == 3:
-                            c_fdivs += 1
-                            if y == 0.0:
-                                xmm[a] = (float("inf") if x > 0 else
-                                          float("-inf") if x < 0
-                                          else float("nan"))
-                            else:
-                                xmm[a] = x / y
-                        elif sse == 4:
-                            xmm[a] = min(x, y)
-                        else:
-                            xmm[a] = max(x, y)
-                    elif c1 == 1:                     # movsd load
-                        c_loads += 1
-                        dst, base, index, scale, disp = q1
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + 8 > memlen:
-                            raise TrapError(
-                                f"out-of-bounds read at {addr:#x}")
-                        xmm[dst] = unpack_from("<d", memory, addr)[0]
-                    elif c1 == 2:                     # alu (reg/imm)
-                        alu, aa, bb, _am, b_kind, size, bits, \
-                            mask, shift, sbit = q1
-                        x = regs[aa]
-                        if size == 4:
-                            x &= _M32
-                        if b_kind == 0:
-                            y = regs[bb]
-                            if size == 4:
-                                y &= _M32
-                        else:
-                            y = bb
-                        if alu == 0:                  # add
-                            full = x + y
-                            result = full & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.cf = 1 if full > mask else 0
-                            self.of = (~(x ^ y) & (x ^ result)) \
-                                >> shift & 1
-                        elif alu == 1:                # sub
-                            result = (x - y) & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.cf = 1 if x < y else 0
-                            self.of = ((x ^ y) & (x ^ result)) \
-                                >> shift & 1
-                        elif alu == 5:                # imul
-                            c_muls += 1
-                            sx = x - (sbit << 1) if x & sbit else x
-                            sy = y - (sbit << 1) if y & sbit else y
-                            result = (sx * sy) & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.of = self.cf = 0
-                        else:                         # and/or/xor
-                            if alu == 2:
-                                result = x & y
-                            elif alu == 3:
-                                result = x | y
-                            else:
-                                result = x ^ y
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.of = self.cf = 0
-                        regs[aa] = result if size == 4 else result & _M64
-                    elif c1 == 3 or c1 == 9:          # cmp / test
-                        ak, av, bk, bv, nl, size, mask, shift = q1
-                        c_loads += nl
-                        if ak == 0:
-                            x = regs[av]
-                            if size == 4:
-                                x &= _M32
-                        elif ak == 1:
-                            x = av
-                        else:
-                            x = self._load_int(self._ea(av),
-                                               av.size) & mask
-                        if bk == 0:
-                            y = regs[bv]
-                            if size == 4:
-                                y &= _M32
-                        elif bk == 1:
-                            y = bv
-                        else:
-                            y = self._load_int(self._ea(bv),
-                                               bv.size) & mask
-                        if c1 == 3:                   # cmp
-                            result = (x - y) & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.cf = 1 if x < y else 0
-                            self.of = ((x ^ y) & (x ^ result)) \
-                                >> shift & 1
-                        else:                         # test
-                            result = (x & y) & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.of = self.cf = 0
-                    elif c1 == 4:                     # movsd store
-                        c_stores += 1
-                        src, base, index, scale, disp = q1
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + 8 > memlen:
-                            raise TrapError(
-                                f"out-of-bounds write at {addr:#x}")
-                        pack_into("<d", memory, addr, xmm[src])
-                    elif c1 == 6:                     # mov r32,r32
-                        regs[q1[0]] = regs[q1[1]] & _M32
-                    elif c1 == 7:                     # mov r64,r64
-                        regs[q1[0]] = regs[q1[1]]
-                    elif c1 == 8:                     # mov r,imm
-                        regs[q1[0]] = q1[1]
-                    elif c1 == 10:                    # mov load
-                        c_loads += 1
-                        dst, base, index, scale, disp, msize, wmask = q1
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + msize > memlen:
-                            raise TrapError(
-                                f"out-of-bounds load at {addr:#x}")
-                        regs[dst] = from_bytes(memory[addr:addr + msize],
-                                               "little") & wmask
-                    elif c1 == 11:                    # mov store (reg)
-                        c_stores += 1
-                        base, index, scale, disp, msize, smask, src = q1
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + msize > memlen:
-                            raise TrapError(
-                                f"out-of-bounds store at {addr:#x}")
-                        memory[addr:addr + msize] = \
-                            (regs[src] & smask).to_bytes(msize, "little")
-                    else:                             # mov store (imm)
-                        c_stores += 1
-                        base, index, scale, disp, msize, vbytes = q1
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + msize > memlen:
-                            raise TrapError(
-                                f"out-of-bounds store at {addr:#x}")
-                        memory[addr:addr + msize] = vbytes
-
-                    # --- consumed slot's bookkeeping (header replica) ---
-                    f2, l2, s2, ins = book2
-                    i += 1
-                    n_instr += 1
-                    c_instr += 1
-                    if n_instr > checkpoint:
-                        if n_instr > budget:
-                            raise FuelExhausted(
-                                "fuel exhausted: instruction budget "
-                                "exceeded")
-                        if _monotonic() > deadline:
-                            raise CellTimeout(
-                                f"wall-clock deadline exceeded after "
-                                f"{n_instr} instructions")
-                        checkpoint = min(budget,
-                                         n_instr + self.DEADLINE_STRIDE)
-                    if s2:
-                        if f2 != last_line:
-                            access_line(f2)
-                            last_line = f2
-                    else:
-                        line = f2
-                        while True:
-                            if line != last_line:
-                                access_line(line)
-                            if line >= l2:
-                                break
-                            line += 1
-                        last_line = l2
-                    if prof_detail:
-                        if prof_ops:
-                            op = ins.op
-                            cur_ops[op] = cur_ops.get(op, 0) + 1
-                        if prof_blocks:
-                            # The consumed slot is never a leader (such
-                            # pairs are not fused), so cur_block stays.
-                            cur_blocks[cur_block] = \
-                                cur_blocks.get(cur_block, 0) + 1
-
-                    if hwc_retire is not None:
-                        hwc_retire(ins, self)
-
-                    if c2 == 0:                       # sse (reg)
-                        c_fpu += 1
-                        sse = q2[0]
-                        a = q2[1]
-                        y = xmm[q2[3]]
-                        x = xmm[a]
-                        if sse == 0:
-                            xmm[a] = x + y
-                        elif sse == 1:
-                            xmm[a] = x - y
-                        elif sse == 2:
-                            xmm[a] = x * y
-                        elif sse == 3:
-                            c_fdivs += 1
-                            if y == 0.0:
-                                xmm[a] = (float("inf") if x > 0 else
-                                          float("-inf") if x < 0
-                                          else float("nan"))
-                            else:
-                                xmm[a] = x / y
-                        elif sse == 4:
-                            xmm[a] = min(x, y)
-                        else:
-                            xmm[a] = max(x, y)
-                    elif c2 == 5:                     # jcc
-                        c_branches += 1
-                        c_cond += 1
-                        c = q2[0]
-                        if c == 0:
-                            taken = self.zf == 1
-                        elif c == 1:
-                            taken = self.zf == 0
-                        elif c == 2:
-                            taken = self.sf != self.of
-                        elif c == 3:
-                            taken = self.zf == 1 or self.sf != self.of
-                        elif c == 4:
-                            taken = self.zf == 0 and self.sf == self.of
-                        elif c == 5:
-                            taken = self.sf == self.of
-                        elif c == 6:
-                            taken = self.cf == 1
-                        elif c == 7:
-                            taken = self.cf == 1 or self.zf == 1
-                        elif c == 8:
-                            taken = self.cf == 0 and self.zf == 0
-                        elif c == 9:
-                            taken = self.cf == 0
-                        elif c == 10:
-                            taken = self.sf == 1
-                        elif c == 11:
-                            taken = self.sf == 0
-                        else:
-                            taken = self._cond(c)
-                        if taken:
-                            i = q2[1]
-                            last_line = -1
-                    elif c2 == 1:                     # movsd load
-                        c_loads += 1
-                        dst, base, index, scale, disp = q2
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + 8 > memlen:
-                            raise TrapError(
-                                f"out-of-bounds read at {addr:#x}")
-                        xmm[dst] = unpack_from("<d", memory, addr)[0]
-                    elif c2 == 2:                     # alu (reg/imm)
-                        alu, aa, bb, _am, b_kind, size, bits, \
-                            mask, shift, sbit = q2
-                        x = regs[aa]
-                        if size == 4:
-                            x &= _M32
-                        if b_kind == 0:
-                            y = regs[bb]
-                            if size == 4:
-                                y &= _M32
-                        else:
-                            y = bb
-                        if alu == 0:                  # add
-                            full = x + y
-                            result = full & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.cf = 1 if full > mask else 0
-                            self.of = (~(x ^ y) & (x ^ result)) \
-                                >> shift & 1
-                        elif alu == 1:                # sub
-                            result = (x - y) & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.cf = 1 if x < y else 0
-                            self.of = ((x ^ y) & (x ^ result)) \
-                                >> shift & 1
-                        elif alu == 5:                # imul
-                            c_muls += 1
-                            sx = x - (sbit << 1) if x & sbit else x
-                            sy = y - (sbit << 1) if y & sbit else y
-                            result = (sx * sy) & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.of = self.cf = 0
-                        else:                         # and/or/xor
-                            if alu == 2:
-                                result = x & y
-                            elif alu == 3:
-                                result = x | y
-                            else:
-                                result = x ^ y
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.of = self.cf = 0
-                        regs[aa] = result if size == 4 else result & _M64
-                    elif c2 == 3 or c2 == 9:          # cmp / test
-                        ak, av, bk, bv, nl, size, mask, shift = q2
-                        c_loads += nl
-                        if ak == 0:
-                            x = regs[av]
-                            if size == 4:
-                                x &= _M32
-                        elif ak == 1:
-                            x = av
-                        else:
-                            x = self._load_int(self._ea(av),
-                                               av.size) & mask
-                        if bk == 0:
-                            y = regs[bv]
-                            if size == 4:
-                                y &= _M32
-                        elif bk == 1:
-                            y = bv
-                        else:
-                            y = self._load_int(self._ea(bv),
-                                               bv.size) & mask
-                        if c2 == 3:                   # cmp
-                            result = (x - y) & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.cf = 1 if x < y else 0
-                            self.of = ((x ^ y) & (x ^ result)) \
-                                >> shift & 1
-                        else:                         # test
-                            result = (x & y) & mask
-                            self.zf = 1 if result == 0 else 0
-                            self.sf = (result >> shift) & 1
-                            self.of = self.cf = 0
-                    elif c2 == 4:                     # movsd store
-                        c_stores += 1
-                        src, base, index, scale, disp = q2
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + 8 > memlen:
-                            raise TrapError(
-                                f"out-of-bounds write at {addr:#x}")
-                        pack_into("<d", memory, addr, xmm[src])
-                    elif c2 == 6:                     # mov r32,r32
-                        regs[q2[0]] = regs[q2[1]] & _M32
-                    elif c2 == 7:                     # mov r64,r64
-                        regs[q2[0]] = regs[q2[1]]
-                    elif c2 == 8:                     # mov r,imm
-                        regs[q2[0]] = q2[1]
-                    elif c2 == 10:                    # mov load
-                        c_loads += 1
-                        dst, base, index, scale, disp, msize, wmask = q2
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + msize > memlen:
-                            raise TrapError(
-                                f"out-of-bounds load at {addr:#x}")
-                        regs[dst] = from_bytes(memory[addr:addr + msize],
-                                               "little") & wmask
-                    elif c2 == 11:                    # mov store (reg)
-                        c_stores += 1
-                        base, index, scale, disp, msize, smask, src = q2
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + msize > memlen:
-                            raise TrapError(
-                                f"out-of-bounds store at {addr:#x}")
-                        memory[addr:addr + msize] = \
-                            (regs[src] & smask).to_bytes(msize, "little")
-                    else:                             # mov store (imm)
-                        c_stores += 1
-                        base, index, scale, disp, msize, vbytes = q2
-                        addr = disp
-                        if base is not None:
-                            addr += regs[base]
-                        if index is not None:
-                            addr += regs[index] * scale
-                        addr &= _M64
-                        if addr + msize > memlen:
-                            raise TrapError(
-                                f"out-of-bounds store at {addr:#x}")
-                        memory[addr:addr + msize] = vbytes
-                elif kind == 0:                       # K_MOV_RR
+                if kind == 0:                         # K_MOV_RR
                     regs[pay[0]] = regs[pay[1]]
                 elif kind == 1:                       # K_MOV_RR32
                     regs[pay[0]] = regs[pay[1]] & _M32
@@ -1658,31 +1093,17 @@ class X86Machine:
             exc.args = (f"{exc} [in {name} at #{i - 1}: {ins!r}]",)
             raise
         finally:
+            # Fold whatever accrued since the last call boundary (trap
+            # unwinds included) into the current function's bucket.
+            targets = (perf,) if profile is None else \
+                (perf, profile.bucket(getattr(func, "name", "?")))
+            if touched:
+                fold(touched, targets)
+            add_counts(targets, (c_instr, c_loads, c_stores, c_branches,
+                                 c_cond, c_calls, c_muls, c_divs, c_fdivs,
+                                 c_fpu))
             if profile is not None:
-                # Fold whatever accrued since the last call boundary
-                # (trap unwinds included) into the current function.
-                bucket = profile.bucket(getattr(func, "name", "?"))
-                bucket.instructions += c_instr
-                bucket.loads += c_loads
-                bucket.stores += c_stores
-                bucket.branches += c_branches
-                bucket.cond_branches += c_cond
-                bucket.calls += c_calls
-                bucket.muls += c_muls
-                bucket.divs += c_divs
-                bucket.fdivs += c_fdivs
-                bucket.fpu_ops += c_fpu
-                bucket.icache_misses += icache.misses - prof_miss_base
-            perf.instructions += c_instr
-            perf.loads += c_loads
-            perf.stores += c_stores
-            perf.branches += c_branches
-            perf.cond_branches += c_cond
-            perf.calls += c_calls
-            perf.muls += c_muls
-            perf.divs += c_divs
-            perf.fdivs += c_fdivs
-            perf.fpu_ops += c_fpu
+                targets[1].icache_misses += icache.misses - prof_miss_base
             if hwc is not None:
                 hwc.finish()
 

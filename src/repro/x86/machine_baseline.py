@@ -21,6 +21,23 @@ from .registers import RAX, RCX, RDX, RSP, XMM0
 class X86MachineBaseline(X86Machine):
     """An :class:`X86Machine` executing via the original opcode chain."""
 
+    def _set_flags_logic(self, result: int, bits: int) -> None:
+        result &= (1 << bits) - 1
+        self.zf = 1 if result == 0 else 0
+        self.sf = (result >> (bits - 1)) & 1
+        self.of = 0
+        self.cf = 0
+
+    def _set_flags_add(self, a: int, b: int, bits: int) -> None:
+        mask = (1 << bits) - 1
+        a &= mask
+        b &= mask
+        result = (a + b) & mask
+        self.zf = 1 if result == 0 else 0
+        self.sf = (result >> (bits - 1)) & 1
+        self.cf = 1 if a + b > mask else 0
+        self.of = (~(a ^ b) & (a ^ result)) >> (bits - 1) & 1
+
     def _execute(self, func) -> None:
         regs = self.regs
         xmm = self.xmm

@@ -52,6 +52,15 @@ EVENT_TABLE = [
 ]
 
 
+def add_counts(targets, counts) -> None:
+    """Add ``counts``, in ``PerfCounters.__slots__`` order, to each of
+    ``targets`` (perf counters or profile buckets)."""
+    for field, delta in zip(PerfCounters.__slots__, counts):
+        if delta:
+            for target in targets:
+                setattr(target, field, getattr(target, field) + delta)
+
+
 class PerfCounters:
     """Retired-event counters for one program execution."""
 

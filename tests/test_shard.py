@@ -45,8 +45,12 @@ def _suite():
 
 
 def _skewed_suite():
-    """One heavy cell in shard 0's contiguous slice forces stealing."""
-    return [matmul_spec(40, 40, 40)] + _suite()
+    """One heavy cell in shard 0's contiguous slice forces stealing.
+
+    Its simulation (~2 s over the three targets at the default tier)
+    must clearly outlast the other shard's light slice, or the shards
+    drain together and nothing is stolen."""
+    return [matmul_spec(56, 56, 56)] + _suite()
 
 
 def _counter(registry, name):

@@ -12,6 +12,7 @@ from conftest import GuestHost, compile_wasm_bytes
 
 from repro import obs
 from repro.benchsuite import matmul_spec, polybench_benchmark
+from repro.benchsuite.registry import spec_benchmark
 from repro.codegen import compile_native
 from repro.harness.runner import compile_benchmark, run_compiled
 from repro.obs.profile import WasmProfile, profile_benchmark
@@ -137,9 +138,11 @@ def test_wasm_fused_profile_attribution_exact():
 
 # -- bit-identity across the full measurement stack ---------------------------------
 
-@pytest.mark.parametrize("name", ["gemm", "bicg"])
+# The SPEC proxies put idiv, setcc, push/pop and movsx in hot blocks.
+@pytest.mark.parametrize("name", ["gemm", "bicg", "401.bzip2", "458.sjeng"])
 def test_benchmark_cells_bit_identical_across_tiers(name):
-    spec = polybench_benchmark(name, "test")
+    spec = spec_benchmark(name, "test") if name[0].isdigit() \
+        else polybench_benchmark(name, "test")
     compiled = compile_benchmark(spec, TARGETS, cache=False)
     cells = {}
     for tier in TIERS:
