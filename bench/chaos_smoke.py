@@ -8,6 +8,10 @@ and seed, and asserts that
   no escaped exception, no hang;
 * the failure manifest (which cells failed, with what status, phase,
   error type, and attempt count) is bit-identical across the two runs;
+* a third, multi-process sweep (``jobs=2``, through the shard
+  scheduler) yields the same manifest as the in-process ones — set
+  ``REPRO_FORCE_JOBS=1`` on a single-CPU host, or ``--jobs 2`` degrades
+  to serial and this check compares serial with itself;
 * at least one fault actually fired (otherwise the injector is dead
   code and the smoke proves nothing);
 * every clean cell's measurements are bit-identical to an uninjected
@@ -31,7 +35,9 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.benchsuite import polybench_benchmark          # noqa: E402
-from repro.harness.parallel import run_suite              # noqa: E402
+from repro.harness.parallel import (                      # noqa: E402
+    run_suite, shutdown_warm_pool,
+)
 from repro.resilience import (                            # noqa: E402
     FaultPlan, RetryPolicy, is_failure,
 )
@@ -43,10 +49,14 @@ SEED = 20190710  # the paper's USENIX ATC 2019 presentation date
 POLICY = RetryPolicy(retries=2, sleep=lambda s: None)
 
 
-def sweep(plan):
+def sweep(plan, jobs=1):
     specs = [polybench_benchmark(name, "test") for name in BENCHMARKS]
-    results, _ = run_suite(specs, TARGETS, runs=2, jobs=1, cache=False,
-                           tolerant=True, plan=plan, policy=POLICY)
+    try:
+        results, _ = run_suite(specs, TARGETS, runs=2, jobs=jobs,
+                               cache=False, tolerant=True, plan=plan,
+                               policy=POLICY)
+    finally:
+        shutdown_warm_pool()
     return results
 
 
@@ -70,6 +80,7 @@ def main() -> int:
     plan = FaultPlan.parse(INJECT, seed=SEED)
     first = manifest(sweep(plan))
     second = manifest(sweep(plan))
+    pooled = manifest(sweep(plan, jobs=2))
 
     total = len(BENCHMARKS) * len(TARGETS)
     failed = [row for row in first if row["status"] != "OK"]
@@ -78,6 +89,8 @@ def main() -> int:
         errors.append(f"matrix incomplete: {len(first)}/{total} cells")
     if first != second:
         errors.append("manifest differs across reruns with the same seed")
+    if pooled != first:
+        errors.append("jobs=2 manifest differs from the jobs=1 manifest")
     if not failed:
         errors.append("no fault fired: injector appears dead")
 

@@ -1,18 +1,19 @@
 """Sharded sweep engine: a work-stealing coordinator over warm pools.
 
-The full benchmark matrix (benchmark x target x size x tier x seed) is
-embarrassingly shardable, but the single warm pool in
-:mod:`repro.harness.parallel` is one scheduling domain: every worker
-pulls from one parent-side queue, and one slow cell at the end of the
-sweep leaves the rest of the pool idle.  This module scales the sweep
-*out* instead of just up:
+This is the one multi-process path of :func:`repro.harness.parallel.
+run_suite`, for fast and tolerant sweeps at every shard count.  The full
+benchmark matrix (benchmark x target x size x tier x seed) is
+embarrassingly shardable, but a single pool is one scheduling domain:
+every worker pulls from one parent-side queue, and one slow cell at the
+end of the sweep leaves the rest of the pool idle.  This module scales
+the sweep *out* instead of just up:
 
 * **Shards.**  ``--shards N`` partitions the ``--jobs`` workers into N
-  addressable :class:`ShardPool`\\ s (persistent fork pools, warm across
-  sweeps exactly like the single pool).  Cells are dealt to per-shard
-  deques in contiguous suite-order slices, so a shard works a compact
-  region of the matrix and repeated sweeps hit the same pool with a
-  warm compile cache.
+  addressable :class:`ShardPool`\\ s (persistent fork pools, forked once
+  and kept warm across sweeps; ``N=1`` is one pool with nothing to
+  steal).  Cells are dealt to per-shard deques in contiguous
+  suite-order slices, so a shard works a compact region of the matrix
+  and repeated sweeps hit the same pool with a warm compile cache.
 
 * **Work stealing.**  A shard that drains its own deque does not go
   idle: it steals from the *tail* of the richest victim's deque
@@ -33,10 +34,17 @@ sweep leaves the rest of the pool idle.  This module scales the sweep
   keeps killing workers past its retry budget surfaces — as a
   ``worker``-phase :class:`~repro.resilience.CellFailure` in tolerant
   mode, or a :class:`~repro.errors.WorkerCrashError` otherwise.  The
-  ``worker`` fault point draws in the same
-  ``"{name}:{target}:w{incarnation}"`` scope as the process-per-cell
-  scheduler, so injected crash/respawn sequences are a pure function of
-  the seed, not of shard count or steal order.
+  ``worker`` fault point draws in a per-dispatch
+  ``"{name}:{target}:w{incarnation}"`` scope, so injected crash/respawn
+  sequences are a pure function of the seed, not of shard count or
+  steal order.
+
+* **Hang watchdog.**  In tolerant mode a cell still in flight
+  ``2 * timeout + 1`` seconds after dispatch hung outside the
+  instrumented loop (the in-machine deadline normally fires first):
+  its worker and any speculative copies are terminated and respawned,
+  and the cell is recorded once as an ``execute``-phase
+  :class:`~repro.errors.CellTimeout` failure.
 
 * **Deterministic merge.**  Results are keyed by (benchmark, target)
   and reassembled in suite order by the caller; every cell is a
@@ -53,7 +61,7 @@ import os
 import sys
 import time
 
-from ..errors import WorkerCrashError
+from ..errors import CellTimeout, WorkerCrashError
 from ..obs import get_registry
 from . import compilecache
 from .parallel import resolve_ref
@@ -80,9 +88,9 @@ def normalize_shards(shards, jobs: int) -> int:
     """Resolve a ``--shards`` request against the effective ``jobs``.
 
     ``None`` auto-selects one shard per :data:`AUTO_SHARD_WIDTH`
-    workers, so small sweeps keep the single-pool fast path and big
-    boxes shard automatically.  Explicit requests are clamped so every
-    shard owns at least one worker.
+    workers, so small sweeps run one pool (nothing to steal, no
+    cross-shard traffic) and big boxes shard automatically.  Explicit
+    requests are clamped so every shard owns at least one worker.
     """
     if jobs <= 1:
         return 1
@@ -112,8 +120,8 @@ def _shard_worker_main(conn):
 
     Jobs carry ``use_cache`` and ``tier`` (process-global state a
     persistent worker must not carry over between sweeps) plus the
-    dispatch ``incarnation`` so the ``worker`` fault point draws in the
-    same per-incarnation scope as the process-per-cell scheduler.
+    dispatch ``incarnation`` so the ``worker`` fault point draws in a
+    per-incarnation scope: a respawned dispatch re-draws.
     Tolerant jobs run through :func:`repro.resilience.measure_cell`
     (fuel/deadline watchdogs, classification, bounded in-worker retry)
     and reply ``fail`` with a CellFailure instead of raising.
@@ -303,9 +311,12 @@ class ShardScheduler:
     Drives ``jobs_list`` (picklable cell payloads carrying ``name`` and
     ``target``) to completion across ``pools``.  ``record(job, kind,
     value, timing)`` is called exactly once per cell, in completion
-    order, with ``kind`` one of ``ok`` / ``fail`` (tolerant mode only).
-    Fast-mode cell errors drain in-flight work and re-raise; worker
-    crashes re-queue the cell up to ``retries`` incarnations.
+    order, with ``kind`` one of ``ok`` / ``fail`` (tolerant mode only),
+    ``value`` a ``(cell, compile_seconds, attempts)`` triple, and
+    ``timing`` the worker's ``seconds`` / ``queue_wait`` (None for a
+    cell the parent failed: crash budget spent, or hung).  Fast-mode
+    cell errors drain in-flight work and re-raise; worker crashes
+    re-queue the cell up to ``retries`` incarnations.
     """
 
     def __init__(self, pools, jobs_list, tolerant: bool = False,
@@ -367,8 +378,15 @@ class ShardScheduler:
                   speculative: bool = False):
         state = self.states[job_id]
         payload = dict(state.job, incarnation=state.incarnation)
+        try:
+            worker["conn"].send((job_id, payload))
+        except OSError:
+            # The worker died while idle: the cell never started, so
+            # respawn and resend without spending an incarnation.
+            _code, worker = self.pools[shard].replace(worker)
+            self.metrics.counter("shard.worker_respawns").inc()
+            worker["conn"].send((job_id, payload))
         conn = worker["conn"]
-        conn.send((job_id, payload))
         state.conns[conn] = speculative
         self.inflight[conn] = {
             "job_id": job_id, "worker": worker, "shard": shard,
@@ -420,17 +438,36 @@ class ShardScheduler:
 
     # -- completion / crash handling -----------------------------------------------
 
+    def _respawn(self, conn, record):
+        """Retire the worker behind an in-flight dispatch (dead,
+        cancelled, or hung) and put a fresh fork on its shard's idle
+        list.  Returns the retired process's exit code."""
+        self.inflight.pop(conn, None)
+        self.states[record["job_id"]].conns.pop(conn, None)
+        code, fresh = self.pools[record["shard"]].replace(record["worker"])
+        self.idle[record["shard"]].append(fresh)
+        return code
+
     def _cancel_losers(self, state, winner_conn):
         """First result won: terminate any speculative copy in flight."""
         for conn in [c for c in state.conns if c is not winner_conn]:
-            record = self.inflight.pop(conn, None)
+            record = self.inflight.get(conn)
             state.conns.pop(conn, None)
             if record is None:
                 continue
-            pool = self.pools[record["shard"]]
-            _code, fresh = pool.replace(record["worker"])
-            self.idle[record["shard"]].append(fresh)
+            self._respawn(conn, record)
             self.metrics.counter("shard.cancelled").inc()
+
+    def _fail(self, state, phase, exc, attempts, record_cb):
+        """Record a cell the parent gave up on as a tolerant failure."""
+        from ..resilience import failure_from_exception
+        job = state.job
+        failure = failure_from_exception(
+            job["name"], job["target"], phase, exc, attempts=attempts,
+            plan=self.plan)
+        state.done = True
+        self.completed += 1
+        record_cb(job, "fail", (failure, {}, attempts), None)
 
     def _handle_message(self, conn, record, msg, record_cb):
         job_id, kind, value, timing = msg
@@ -438,34 +475,35 @@ class ShardScheduler:
         worker = record["worker"]
         self.idle[record["shard"]].append(worker)
         state.conns.pop(conn, None)
-        if kind == "err":
+        if kind == "err" and not self.tolerant:
             self._drain()
             raise value
         if state.done:
             # The slow copy of a re-dispatched cell: discard its result.
             self.metrics.counter("shard.redispatch_wasted").inc()
             return
+        if kind == "err":
+            # Outside measure_cell's classification (e.g. an
+            # unresolvable spec reference): still one failure, never a
+            # raise out of a tolerant sweep.
+            self._cancel_losers(state, conn)
+            self._fail(state, "worker", value, state.incarnation + 1,
+                       record_cb)
+            return
         state.done = True
         self.completed += 1
         self.durations.append(timing["seconds"])
         self.busy[record["shard"]] += timing["seconds"]
+        timing["queue_wait"] = max(timing["start"] - record["sent"], 0.0)
         if record["speculative"]:
             self.metrics.counter("shard.redispatch_wins").inc()
-        if self.metrics.enabled:
-            self.metrics.histogram("shard.cell_seconds").observe(
-                timing["seconds"])
-            self.metrics.histogram("shard.queue_wait_seconds").observe(
-                max(timing["start"] - record["sent"], 0.0))
         self._cancel_losers(state, conn)
         record_cb(state.job, kind, value, timing)
 
     def _handle_crash(self, conn, record, record_cb):
         """A worker died mid-cell: respawn it, re-queue or fail the cell."""
         state = self.states[record["job_id"]]
-        state.conns.pop(conn, None)
-        pool = self.pools[record["shard"]]
-        code, fresh = pool.replace(record["worker"])
-        self.idle[record["shard"]].append(fresh)
+        code = self._respawn(conn, record)
         self.metrics.counter("shard.worker_respawns").inc()
         if state.done or state.conns:
             return  # a surviving copy already won / is still running
@@ -475,20 +513,34 @@ class ShardScheduler:
             self.deques[state.home].appendleft(record["job_id"])
             self.metrics.counter("shard.requeues").inc()
             return
-        job = state.job
         exc = WorkerCrashError(
             f"worker died (exit code {code}) before reporting")
         exc.injected = code == 17
         if not self.tolerant:
             self._drain()
             raise exc
-        from ..resilience import failure_from_exception
-        failure = failure_from_exception(
-            job["name"], job["target"], "worker", exc,
-            attempts=state.incarnation, plan=self.plan)
-        state.done = True
-        self.completed += 1
-        record_cb(job, "fail", (failure, {}, state.incarnation), None)
+        self._fail(state, "worker", exc, state.incarnation, record_cb)
+
+    def _reap_hung(self, record_cb):
+        """Tolerant-mode watchdog: terminate every copy of a cell still
+        in flight ``2 * timeout + 1`` seconds after its dispatch.
+
+        The in-machine deadline normally fires first; this catches
+        hangs outside the instrumented loop, which straggler
+        re-dispatch would otherwise only duplicate."""
+        now = time.time()
+        for conn, record in list(self.inflight.items()):
+            state = self.states[record["job_id"]]
+            timeout = state.job.get("timeout")
+            if state.done or timeout is None \
+                    or now - record["sent"] <= 2 * timeout + 1.0:
+                continue
+            for copy in list(state.conns):
+                self._respawn(copy, self.inflight[copy])
+            self._fail(state, "execute",
+                       CellTimeout(f"cell hung past {timeout:g}s; "
+                                   f"worker terminated"),
+                       state.incarnation + 1, record_cb)
 
     def _drain(self, deadline: float = DRAIN_SECONDS):
         """Collect or retire in-flight cells after an error, keeping
@@ -502,23 +554,16 @@ class ShardScheduler:
                 break
             for conn in _wait(list(self.inflight), timeout=remaining):
                 record = self.inflight.pop(conn)
-                state = self.states[record["job_id"]]
-                state.conns.pop(conn, None)
+                self.states[record["job_id"]].conns.pop(conn, None)
                 try:
                     conn.recv()
                 except (EOFError, OSError):
-                    _code, fresh = self.pools[record["shard"]].replace(
-                        record["worker"])
-                    self.idle[record["shard"]].append(fresh)
+                    self._respawn(conn, record)
                     continue
                 self.idle[record["shard"]].append(record["worker"])
         for conn, record in list(self.inflight.items()):
             # Unresponsive past the drain deadline: replace, stay warm.
-            self.inflight.pop(conn)
-            self.states[record["job_id"]].conns.pop(conn, None)
-            _code, fresh = self.pools[record["shard"]].replace(
-                record["worker"])
-            self.idle[record["shard"]].append(fresh)
+            self._respawn(conn, record)
 
     # -- the main loop -------------------------------------------------------------
 
@@ -541,6 +586,8 @@ class ShardScheduler:
                         self._handle_crash(conn, record, record_cb)
                         continue
                     self._handle_message(conn, record, msg, record_cb)
+                if self.tolerant:
+                    self._reap_hung(record_cb)
         except KeyboardInterrupt:
             # Ctrl-C routes through the drain path: in-flight cells
             # finish (or their workers are replaced), and the warm

@@ -14,7 +14,7 @@ from conftest import GuestHost, compile_wasm_bytes
 
 from repro.benchsuite import polybench_benchmark
 from repro.errors import ReproError
-from repro.harness.parallel import run_suite
+from repro.harness.parallel import run_suite, shutdown_warm_pool
 from repro.resilience import FaultPlan, RetryPolicy, is_failure
 from repro.wasm import WasmInstance, decode_module, validate_module
 
@@ -66,6 +66,16 @@ class TestChaosSweep:
 
     def test_manifest_deterministic_per_seed(self):
         assert _manifest(_chaos_run()) == _manifest(_chaos_run())
+
+    def test_pooled_manifest_matches_in_process(self, monkeypatch):
+        """The shard scheduler's workers reproduce the in-process
+        manifest cell for cell (REPRO_FORCE_JOBS keeps the pool on a
+        single-CPU host)."""
+        monkeypatch.setenv("REPRO_FORCE_JOBS", "1")
+        try:
+            assert _manifest(_chaos_run(jobs=2)) == _manifest(_chaos_run())
+        finally:
+            shutdown_warm_pool()
 
     def test_different_seed_different_manifest(self):
         other = FaultPlan(MIX.rates, seed=4321)

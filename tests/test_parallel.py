@@ -8,6 +8,7 @@ from repro.harness.parallel import (
     shutdown_warm_pool, spec_ref,
 )
 from repro.harness import parallel as parallel_mod
+from repro.harness import shard as shard_mod
 from repro.harness.spec import BenchmarkSpec
 
 SUBSET = ["trisolv", "bicg", "mvt", "gesummv"]
@@ -49,23 +50,31 @@ def test_parallel_compile_seconds_reported(force_jobs):
         assert compile_seconds[name]["native"] > 0
 
 
+def _pool_pids():
+    return [w["proc"].pid for pool in shard_mod._SHARDS["pools"]
+            for w in pool.workers]
+
+
+# The default shape: --jobs 2 auto-selects one shard pool.  The same
+# pool contracts at --shards 2 are asserted in tests/test_shard.py.
+
 def test_warm_pool_reused_across_sweeps(force_jobs):
     """A second sweep at the same width reuses the live workers."""
     run_suite(_suite()[:2], ["native"], runs=1, jobs=2, cache=False)
-    pool = parallel_mod._POOL
-    assert pool is not None and pool.alive() and pool.width == 2
-    pids = [w["proc"].pid for w in pool.workers]
+    pools = shard_mod._SHARDS["pools"]
+    assert len(pools) == 1 and pools[0].alive() and pools[0].width == 2
+    pids = _pool_pids()
     run_suite(_suite()[2:], ["native"], runs=1, jobs=2, cache=False)
-    assert parallel_mod._POOL is pool
-    assert [w["proc"].pid for w in pool.workers] == pids
+    assert shard_mod._SHARDS["pools"] is pools
+    assert _pool_pids() == pids
 
 
 def test_warm_pool_rebuilt_on_width_change(force_jobs):
     run_suite(_suite()[:2], ["native"], runs=1, jobs=2, cache=False)
-    first = parallel_mod._POOL
+    first = shard_mod._SHARDS["pools"]
     run_suite(_suite()[:2], ["native"], runs=1, jobs=3, cache=False)
-    assert parallel_mod._POOL is not first
-    assert parallel_mod._POOL.width == 3
+    assert shard_mod._SHARDS["pools"] is not first
+    assert [pool.width for pool in shard_mod._SHARDS["pools"]] == [3]
 
 
 def test_warm_pool_cell_error_propagates(force_jobs):
@@ -73,45 +82,48 @@ def test_warm_pool_cell_error_propagates(force_jobs):
     with pytest.raises(Exception):
         run_suite([bad], ["no-such-target", "native"], runs=1, jobs=2,
                   cache=False)
-    # a *cell* error leaves every worker healthy: the pool is recovered
-    # (in-flight cells drained), not discarded, so the next sweep
-    # reuses the very same warm workers
-    pool = parallel_mod._POOL
-    assert pool is not None and pool.alive()
-    pids = [w["proc"].pid for w in pool.workers]
+    # a *cell* error leaves every worker healthy: in-flight cells are
+    # drained, not discarded, so the next sweep reuses the very same
+    # warm workers
+    pools = shard_mod._SHARDS["pools"]
+    assert all(pool.alive() for pool in pools)
+    pids = _pool_pids()
     results, _ = run_suite(_suite()[:2], ["native"], runs=1, jobs=2,
                            cache=False)
     assert set(results) == set(SUBSET[:2])
-    assert parallel_mod._POOL is pool
-    assert [w["proc"].pid for w in pool.workers] == pids
+    assert shard_mod._SHARDS["pools"] is pools
+    assert _pool_pids() == pids
 
 
-def test_warm_pool_discarded_on_worker_death(force_jobs):
-    """A worker that actually dies mid-sweep poisons the pool: the
-    sweep raises WorkerCrashError and the pool is torn down (state
-    unknowable), unlike the healthy-workers cell-error path above."""
+def test_killed_workers_respawn_and_requeue(force_jobs):
+    """Workers killed mid-sweep cost a dispatch, not the sweep: each
+    is respawned, its cell re-queued, and the sweep completes
+    bit-identical to serial."""
     import threading
-    from repro.errors import WorkerCrashError
+    from repro.obs import metrics as obs_metrics
+    serial, _ = run_suite(_suite(), TARGETS, runs=1, jobs=1, cache=False)
     run_suite(_suite()[:2], ["native"], runs=1, jobs=2, cache=False)
-    pool = parallel_mod._POOL
+    pool = shard_mod._SHARDS["pools"][0]
 
     def _kill_workers():
-        for worker in pool.workers:
+        for worker in list(pool.workers):
             worker["proc"].kill()
 
+    registry = obs_metrics.enable()
     killer = threading.Timer(0.2, _kill_workers)
     killer.start()
     try:
-        with pytest.raises(WorkerCrashError):
-            run_suite(_suite(), ["native", "chrome", "firefox"], runs=1,
-                      jobs=2, cache=False)
+        results, _ = run_suite(_suite(), TARGETS, runs=1, jobs=2,
+                               cache=False)
     finally:
         killer.cancel()
-    assert parallel_mod._POOL is None
-    # and the next sweep builds a fresh pool and completes
-    results, _ = run_suite(_suite()[:2], ["native"], runs=1, jobs=2,
-                           cache=False)
-    assert set(results) == set(SUBSET[:2])
+        obs_metrics.disable()
+    for name in SUBSET:
+        for target in TARGETS:
+            assert results[name][target].times == \
+                serial[name][target].times, (name, target)
+    assert registry.counters["shard.worker_respawns"].value > 0
+    assert pool.alive()
 
 
 def test_warm_pool_survives_ctrl_c(force_jobs):
@@ -119,8 +131,8 @@ def test_warm_pool_survives_ctrl_c(force_jobs):
     finish, the warm pool survives, and the next sweep reuses the very
     same workers instead of re-paying the fork cost."""
     run_suite(_suite()[:2], ["native"], runs=1, jobs=2, cache=False)
-    pool = parallel_mod._POOL
-    pids = [w["proc"].pid for w in pool.workers]
+    pools = shard_mod._SHARDS["pools"]
+    pids = _pool_pids()
 
     def interrupt(name):
         raise KeyboardInterrupt
@@ -128,13 +140,14 @@ def test_warm_pool_survives_ctrl_c(force_jobs):
     with pytest.raises(KeyboardInterrupt):
         run_suite(_suite(), ["native"], runs=1, jobs=2, cache=False,
                   progress=interrupt)
-    assert parallel_mod._POOL is pool and pool.alive()
-    assert [w["proc"].pid for w in pool.workers] == pids
+    assert shard_mod._SHARDS["pools"] is pools
+    assert all(pool.alive() for pool in pools)
+    assert _pool_pids() == pids
     # and the recovered pool is immediately usable
     results, _ = run_suite(_suite()[:2], ["native"], runs=1, jobs=2,
                            cache=False)
     assert set(results) == set(SUBSET[:2])
-    assert [w["proc"].pid for w in pool.workers] == pids
+    assert _pool_pids() == pids
 
 
 def test_spec_ref_round_trip():

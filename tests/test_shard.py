@@ -4,8 +4,9 @@ The contract under test is the one the engine documents: the merged
 suite results are bit-identical to a serial run no matter the shard
 count, steal schedule, straggler re-dispatch races, or injected worker
 crashes.  Chaos manifests (which cells fail, with how many attempts)
-are compared against the single-pool process-per-cell scheduler, the
-established baseline for ``worker``-fault determinism.
+are compared against a literal manifest frozen from the retired
+process-per-cell scheduler, the established baseline for
+``worker``-fault determinism.
 """
 
 import pytest
@@ -193,35 +194,39 @@ def test_shard_cell_error_keeps_pools_warm(force_jobs):
 
 # -- chaos: injected worker crashes ------------------------------------------------
 
+#: The ``worker:0.5`` / seed-11 failure manifest ``(name, target, phase,
+#: attempts)`` of the suite below, as the process-per-cell scheduler
+#: (one fresh process per cell, retired since) produced it.  Both shard
+#: counts must reproduce it exactly.
+WORKER_CRASH_MANIFEST = [
+    ("matmul-56x56x56", "firefox", "worker", 3),
+    ("durbin", "native", "worker", 3),
+    ("durbin", "firefox", "worker", 3),
+]
+
+
 def test_worker_crashes_requeue_deterministically(force_jobs, metrics):
     """Injected worker deaths re-queue cells; survivors are bit-identical
-    with serial and the failure manifest matches the single-pool
-    process-per-cell scheduler exactly."""
+    with serial and the failure manifest matches the frozen
+    process-per-cell baseline exactly at every shard count."""
     suite = _skewed_suite() + [polybench_benchmark("durbin", "test")]
-    names = [spec.name for spec in suite]
     serial, _ = run_suite(suite, TARGETS, runs=2, jobs=1, cache=False)
-    plan = lambda: FaultPlan.parse("worker:0.5", seed=11)
-    baseline, _ = run_suite(suite, TARGETS, runs=2, jobs=4, shards=1,
-                            cache=False, tolerant=True, plan=plan(),
-                            timeout=None)
-    shutdown_warm_pool()
-    sharded, _ = run_suite(suite, TARGETS, runs=2, jobs=4, shards=2,
-                           cache=False, tolerant=True, plan=plan(),
-                           timeout=None)
-    failures = 0
-    for name in names:
-        for target in TARGETS:
-            got = sharded[name][target]
-            want = baseline[name][target]
-            if is_failure(want):
-                failures += 1
-                assert is_failure(got), (name, target)
-                assert (got.phase, got.attempts) \
-                    == (want.phase, want.attempts), (name, target)
-            else:
-                assert got.times == want.times, (name, target)
-                assert got.times == serial[name][target].times
-    assert failures > 0                      # the plan actually bit
+    for shards in (1, 2):
+        shutdown_warm_pool()
+        results, _ = run_suite(suite, TARGETS, runs=2, jobs=4,
+                               shards=shards, cache=False, tolerant=True,
+                               plan=FaultPlan.parse("worker:0.5", seed=11),
+                               timeout=None)
+        manifest = [(name, target, cell.phase, cell.attempts)
+                    for name, by_target in results.items()
+                    for target, cell in by_target.items()
+                    if is_failure(cell)]
+        assert manifest == WORKER_CRASH_MANIFEST, shards
+        for spec in suite:
+            for target in TARGETS:
+                cell = results[spec.name][target]
+                if not is_failure(cell):
+                    assert cell.times == serial[spec.name][target].times
     assert _counter(metrics, "shard.worker_respawns") > 0
     assert _counter(metrics, "shard.requeues") > 0
 
@@ -245,3 +250,73 @@ def test_worker_crash_fast_mode_raises_after_retries(force_jobs):
     results, _ = run_suite(_suite()[:1], ["native"], runs=1, jobs=4,
                            shards=2, cache=False)
     assert "trisolv" in results
+
+
+# -- the hang watchdog -------------------------------------------------------------
+
+HUNG = ("bicg", "chrome")
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_hung_cell_terminated_by_watchdog(force_jobs, monkeypatch, shards):
+    """A cell that hangs outside the instrumented loop (here: before
+    measure_cell starts) is terminated ``2 * timeout + 1`` seconds after
+    dispatch, straggler copies included, and recorded once as an
+    ``execute``-phase CellTimeout; every other cell completes
+    bit-identical to serial.  SIGALRM bounds the sweep, so a scheduler
+    without the watchdog fails this test instead of hanging it."""
+    import signal
+    import time
+    from repro import resilience
+
+    suite = _suite()[:2]
+    serial, _ = run_suite(suite, TARGETS, runs=1, jobs=1, cache=False)
+    real_measure_cell = resilience.measure_cell
+
+    def hanging_measure_cell(spec, target, **kwargs):
+        if (spec.name, target) == HUNG:
+            time.sleep(600)
+        return real_measure_cell(spec, target, **kwargs)
+
+    shutdown_shard_pools()  # the workers must fork after the patch
+    monkeypatch.setattr(resilience, "measure_cell", hanging_measure_cell)
+
+    def overdue(signum, frame):
+        raise TimeoutError("sweep did not finish: hung cell never reaped")
+
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.alarm(30)
+    try:
+        results, _ = run_suite(suite, TARGETS, runs=1, jobs=2,
+                               shards=shards, cache=False, tolerant=True,
+                               timeout=1.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    hung = results[HUNG[0]][HUNG[1]]
+    assert is_failure(hung)
+    assert (hung.phase, hung.error_type, hung.attempts) \
+        == ("execute", "CellTimeout", 1)
+    for spec in suite:
+        for target in TARGETS:
+            if (spec.name, target) != HUNG:
+                assert results[spec.name][target].times \
+                    == serial[spec.name][target].times, (spec.name, target)
+
+
+# -- one set of cell metrics -------------------------------------------------------
+
+@pytest.mark.parametrize("tolerant", [False, True],
+                         ids=["fast", "tolerant"])
+@pytest.mark.parametrize("jobs,shards", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_runner_cell_metrics_whatever_the_schedule(force_jobs, metrics,
+                                                   jobs, shards, tolerant):
+    """Serial and pooled, fast and tolerant sweeps all count every cell
+    in ``runner.cells`` and time it in the ``runner.*`` histograms."""
+    suite = _suite()[:2]
+    run_suite(suite, TARGETS, runs=1, jobs=jobs, shards=shards,
+              cache=False, tolerant=tolerant)
+    cells = len(suite) * len(TARGETS)
+    assert _counter(metrics, "runner.cells") == cells
+    for name in ("runner.cell_seconds", "runner.queue_wait_seconds"):
+        assert metrics.histograms[name].count == cells
